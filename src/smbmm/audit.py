@@ -88,16 +88,6 @@ def _smbmm_noise_coeff(params, h, side, noise_exp, alpha):
     return fieldcfg.pow(t1, noise_exp - params.indices.psi)
 
 
-def _smbmm_noise_exponents(params, side):
-    part = params.partition
-    plan = _ssmm._plan(
-        part.m, part.p, part.n, params.x_a, params.x_b, params.variant
-    )
-    if side == "a":
-        return [plan["a_noise"](x) for x in range(1, params.x_a + 1)]
-    return [plan["b_noise"](x) for x in range(1, params.x_b + 1)]
-
-
 def _pick_subsets(n_servers, x, max_subsets, seed):
     if max_subsets is None:
         if n_servers > _EXHAUSTIVE_LIMIT:
@@ -130,14 +120,16 @@ def certify_server_privacy(params, side, max_subsets=None, seed=0) -> PrivacyCer
     """
     if side not in ("a", "b"):
         raise ParamError("side must be 'a' or 'b'")
+    if not isinstance(params, (_ssmm.SsmmParams, _batch.SmbmmParams)):
+        raise ParamError(f"unsupported params type {type(params).__name__}")
     x = params.x_a if side == "a" else params.x_b
     subsets = _pick_subsets(params.n_servers, x, max_subsets, seed)
+    part = params.partition
+    exps = _ssmm.noise_exponents(
+        part.m, part.p, part.n, params.x_a, params.x_b, params.variant, side
+    )
 
     if isinstance(params, _ssmm.SsmmParams):
-        part = params.partition
-        exps = _ssmm.noise_exponents(
-            part.m, part.p, part.n, params.x_a, params.x_b, params.variant, side
-        )
         for sub in subsets:
             grid = ssmm_noise_grid(
                 params.field, [params.alphas[i] for i in sub], exps
@@ -145,25 +137,21 @@ def certify_server_privacy(params, side, max_subsets=None, seed=0) -> PrivacyCer
             assert_nonsingular(params.field, grid, f"ssmm side={side} subset={sub}")
         return PrivacyCertificate("ssmm", side, x, params.n_servers, tuple(subsets))
 
-    if isinstance(params, _batch.SmbmmParams):
-        exps = _smbmm_noise_exponents(params, side)
-        for h in range(1, params.g + 1):
-            for sub in subsets:
-                grid = [
-                    [
-                        _smbmm_noise_coeff(params, h, side, e, params.alphas[i])
-                        for e in exps
-                    ]
-                    for i in sub
+    for h in range(1, params.g + 1):
+        for sub in subsets:
+            grid = [
+                [
+                    _smbmm_noise_coeff(params, h, side, e, params.alphas[i])
+                    for e in exps
                 ]
-                assert_nonsingular(
-                    params.field, grid, f"smbmm side={side} group={h} subset={sub}"
-                )
-        return PrivacyCertificate(
-            "smbmm", side, x, params.n_servers, tuple(subsets), params.g
-        )
-
-    raise ParamError(f"unsupported params type {type(params).__name__}")
+                for i in sub
+            ]
+            assert_nonsingular(
+                params.field, grid, f"smbmm side={side} group={h} subset={sub}"
+            )
+    return PrivacyCertificate(
+        "smbmm", side, x, params.n_servers, tuple(subsets), params.g
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +236,14 @@ def _ssmm_share_leakage(params, side, budget) -> LeakageReport:
     m, p, n = part.m, part.p, part.n
     q = params.field.q
     plan = _ssmm._plan(m, p, n, params.x_a, params.x_b, params.variant)
+    noise_exps = _ssmm.noise_exponents(m, p, n, params.x_a, params.x_b, params.variant, side)
+    x = len(noise_exps)
     if side == "a":
-        x = params.x_a
         block_exps = [plan["a_block"](k, l)
                       for k in range(1, m + 1) for l in range(1, p + 1)]
-        noise_exps = [plan["a_noise"](i) for i in range(1, x + 1)]
     else:
-        x = params.x_b
         block_exps = [plan["b_block"](l, j)
                       for l in range(1, p + 1) for j in range(1, n + 1)]
-        noise_exps = [plan["b_noise"](i) for i in range(1, x + 1)]
 
     subsets = [tuple(s) for s in itertools.combinations(range(params.n_servers), x)]
     n_data = q ** len(block_exps)

@@ -23,6 +23,9 @@ with the roles of (m, X_A) and (n, X_B) exchanged):
     phi    = (L-1)mnp + np + X_A + (m-1)X_B - 2   interference tail
     Gamma  = {(k-1)(np+X_B) + jp - 1}             desired slots, l=1
     Lambda = {(k-1)np + jp - 1}                   desired slots, l>=2
+
+All exponent layouts come from ssmm._plan: the l=1 sub-encoder is the
+single-product encoder, the l>=2 ones are that encoder with X_A = X_B = 0.
 """
 
 from dataclasses import dataclass
@@ -33,9 +36,7 @@ from . import _kernels
 from .costs import CostReport
 from .errors import (
     BatchSizeError,
-    DuplicatePoint,
     HypothesisViolation,
-    InsufficientResponses,
     ParamError,
     PointError,
     PoleCollision,
@@ -44,7 +45,17 @@ from .errors import (
 from .field import FieldConfig, SquareSystem, build_cauchy_vandermonde, shifted_power_expand
 from .matrix import BlockMatrix, PartitionSpec, assemble, partition, random_matrix
 from .rng import Stream
-from .ssmm import A_MAJOR, B_MAJOR
+from .ssmm import (
+    A_MAJOR,
+    B_MAJOR,
+    ThresholdPair,
+    _plan,
+    encoder_terms,
+    eval_terms,
+    recovery_threshold_ssmm,
+    select_responses,
+    solve_stack,
+)
 
 __all__ = [
     "DerivedIndices",
@@ -52,7 +63,6 @@ __all__ = [
     "SmbmmShare",
     "SmbmmResponse",
     "CommonRandomness",
-    "ThresholdTriple",
     "recovery_threshold_smbmm",
     "derive_indices",
     "build_sub_encoders",
@@ -67,23 +77,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThresholdTriple:
-    k_prime: int        # A-major variant
-    k_double_prime: int  # B-major variant
-
-    @property
-    def k(self) -> int:
-        return min(self.k_prime, self.k_double_prime)
-
-    @property
-    def best_variant(self) -> str:
-        return A_MAJOR if self.k_prime <= self.k_double_prime else B_MAJOR
-
-    def of(self, variant: str) -> int:
-        return self.k_prime if variant == A_MAJOR else self.k_double_prime
-
-
 def _check_hypothesis(m, p, n, x_a, x_b, g, l):
     if min(p, x_a, x_b, g) < 1:
         raise ParamError("p, X_A, X_B and G must be at least 1")
@@ -93,13 +86,13 @@ def _check_hypothesis(m, p, n, x_a, x_b, g, l):
         raise HypothesisViolation("batch strategy requires L >= 2")
 
 
-def recovery_threshold_smbmm(m, p, n, x_a, x_b, g, l) -> ThresholdTriple:
+def recovery_threshold_smbmm(m, p, n, x_a, x_b, g, l) -> ThresholdPair:
     """Both variant thresholds; the strategy achieves their minimum."""
     _check_hypothesis(m, p, n, x_a, x_b, g, l)
     base = (l * g + l - 1) * m * p * n
     k1 = base + n * p + x_a + (g + 1) * (m - 1) * x_b - 1
     k2 = base + m * p + x_b + (g + 1) * (n - 1) * x_a - 1
-    return ThresholdTriple(k1, k2)
+    return ThresholdPair(k1, k2)
 
 
 @dataclass(frozen=True)
@@ -120,45 +113,24 @@ class DerivedIndices:
 @lru_cache(maxsize=256)
 def derive_indices(m, p, n, x_a, x_b, g, l, variant) -> DerivedIndices:
     _check_hypothesis(m, p, n, x_a, x_b, g, l)
-    kappa = m * p * n
+    first = _plan(m, p, n, x_a, x_b, variant)
+    rest = _plan(m, p, n, 0, 0, variant)
+    cells = [(k, j) for k in range(1, m + 1) for j in range(1, n + 1)]
+    gamma_of = {c: first["desired"](*c) for c in cells}
+    lam_of = {c: rest["desired"](*c) for c in cells}
     if variant == A_MAJOR:
-        stride = n * p + x_b
-        psi = (m - 1) * stride + n * p
         phi = (l - 1) * m * n * p + n * p + x_a + (m - 1) * x_b - 2
-        delta = (m + 1) * stride + x_a - x_b - 2
-        gamma_of = {
-            (k, j): (k - 1) * stride + j * p - 1
-            for k in range(1, m + 1)
-            for j in range(1, n + 1)
-        }
-        lam_of = {
-            (k, j): (k - 1) * n * p + j * p - 1
-            for k in range(1, m + 1)
-            for j in range(1, n + 1)
-        }
-    elif variant == B_MAJOR:
-        stride = m * p + x_a
-        psi = (n - 1) * stride + m * p
-        phi = (l - 1) * m * n * p + m * p + x_b + (n - 1) * x_a - 2
-        delta = (n + 1) * stride + x_b - x_a - 2
-        gamma_of = {
-            (k, j): (j - 1) * stride + k * p - 1
-            for k in range(1, m + 1)
-            for j in range(1, n + 1)
-        }
-        lam_of = {
-            (k, j): (j - 1) * m * p + k * p - 1
-            for k in range(1, m + 1)
-            for j in range(1, n + 1)
-        }
     else:
-        raise ParamError(f"unknown variant {variant!r}")
+        phi = (l - 1) * m * n * p + m * p + x_b + (n - 1) * x_a - 2
+    # the l=1 sub-encoder product is the single-product polynomial
+    delta = recovery_threshold_ssmm(m, p, n, x_a, x_b).of(variant) - 1
     gamma = tuple(sorted(gamma_of.values()))
     lam = tuple(sorted(lam_of.values()))
     if len(gamma) != m * n or len(lam) != m * n:
         raise ParamError("desired slots collide; invalid parameters")
     return DerivedIndices(
-        psi, kappa, phi, delta, kappa + p - 2, gamma, lam, gamma_of, lam_of
+        first["span"], rest["span"], phi, delta, m * p * n + p - 2,
+        gamma, lam, gamma_of, lam_of,
     )
 
 
@@ -210,9 +182,9 @@ class SmbmmParams:
     def make(cls, m, p, n, x_a, x_b, g, l, n_servers, q,
              variant="auto", poles=None, alphas=None, sharing_only=False):
         """Default points: poles 1..GL, alphas GL+1..GL+N."""
-        triple = recovery_threshold_smbmm(m, p, n, x_a, x_b, g, l)
+        pair = recovery_threshold_smbmm(m, p, n, x_a, x_b, g, l)
         if variant == "auto":
-            variant = triple.best_variant
+            variant = pair.best_variant
         field = FieldConfig(q)
         gl = g * l
         if poles is None:
@@ -238,7 +210,7 @@ class SmbmmParams:
         )
 
     @property
-    def thresholds(self) -> ThresholdTriple:
+    def thresholds(self) -> ThresholdPair:
         part = self.partition
         return recovery_threshold_smbmm(
             part.m, part.p, part.n, self.x_a, self.x_b, self.g, self.l
@@ -305,39 +277,6 @@ class SubEncoderSet:
         return out
 
 
-def _sub_encoder_plan(m, p, n, x_a, x_b, variant, ell):
-    """Exponent maps of (P, Q) for one ell; noise maps are None for ell >= 2."""
-    if variant == A_MAJOR:
-        if ell == 1:
-            stride = n * p + x_b
-            return {
-                "p_block": lambda k, l: (l - 1) + (k - 1) * stride,
-                "p_noise": lambda x: (m - 1) * stride + n * p + (x - 1),
-                "q_block": lambda l, j: (p - l) + (j - 1) * p,
-                "q_noise": lambda x: n * p + (x - 1),
-            }
-        return {
-            "p_block": lambda k, l: (l - 1) + (k - 1) * n * p,
-            "p_noise": None,
-            "q_block": lambda l, j: (p - l) + (j - 1) * p,
-            "q_noise": None,
-        }
-    if ell == 1:
-        stride = m * p + x_a
-        return {
-            "p_block": lambda k, l: (l - 1) + (k - 1) * p,
-            "p_noise": lambda x: m * p + (x - 1),
-            "q_block": lambda l, j: (p - l) + (j - 1) * stride,
-            "q_noise": lambda x: (n - 1) * stride + m * p + (x - 1),
-        }
-    return {
-        "p_block": lambda k, l: (l - 1) + (k - 1) * p,
-        "p_noise": None,
-        "q_block": lambda l, j: (p - l) + (j - 1) * m * p,
-        "q_noise": None,
-    }
-
-
 def _check_batch(batch_a, batch_b, params):
     part = params.partition
     gl = params.batch_size
@@ -369,6 +308,8 @@ def build_sub_encoders(batch_a, batch_b, params: SmbmmParams, noise_seed: int) -
     src1 = root.derive("smbmm/source1-noise")
     src2 = root.derive("smbmm/source2-noise")
 
+    first = _plan(m, p, n, params.x_a, params.x_b, params.variant)
+    rest = _plan(m, p, n, 0, 0, params.variant)
     p_terms, q_terms = {}, {}
     for h in range(1, params.g + 1):
         noise_a = [random_matrix(ar, ac, field, src1) for _ in range(params.x_a)]
@@ -377,37 +318,12 @@ def build_sub_encoders(batch_a, batch_b, params: SmbmmParams, noise_seed: int) -
             idx = (h - 1) * params.l + (ell - 1)
             grid_a = partition(batch_a[idx], m, p)
             grid_b = partition(batch_b[idx], p, n)
-            plan = _sub_encoder_plan(m, p, n, params.x_a, params.x_b, params.variant, ell)
-            terms_p = [
-                (plan["p_block"](k, l), grid_a[k - 1][l - 1])
-                for k in range(1, m + 1)
-                for l in range(1, p + 1)
-            ]
-            terms_q = [
-                (plan["q_block"](l, j), grid_b[l - 1][j - 1])
-                for l in range(1, p + 1)
-                for j in range(1, n + 1)
-            ]
             if ell == 1:
-                terms_p += [
-                    (plan["p_noise"](x), noise_a[x - 1])
-                    for x in range(1, params.x_a + 1)
-                ]
-                terms_q += [
-                    (plan["q_noise"](x), noise_b[x - 1])
-                    for x in range(1, params.x_b + 1)
-                ]
-            p_terms[(h, ell)] = terms_p
-            q_terms[(h, ell)] = terms_q
+                terms = encoder_terms(first, grid_a, grid_b, noise_a, noise_b)
+            else:
+                terms = encoder_terms(rest, grid_a, grid_b)
+            p_terms[(h, ell)], q_terms[(h, ell)] = terms
     return SubEncoderSet(p_terms, q_terms)
-
-
-def eval_terms(terms, t, q, rows, cols, field) -> BlockMatrix:
-    """Evaluate sum of block * t**exp."""
-    acc = [0] * (rows * cols)
-    for exp, mat in terms:
-        _kernels.axpy_mod(acc, mat.data, pow(t, exp, q), q)
-    return BlockMatrix(rows, cols, acc, field)
 
 
 def _span(params, ell):
@@ -521,22 +437,8 @@ class CommonRandomness:
     masks: tuple  # length == stack size == K
 
     @property
-    def pinned(self) -> frozenset:
-        return pinned_positions(self.params)
-
-    @property
     def random_count(self) -> int:
-        return len(self.masks) - len(self.pinned)
-
-    def mask_at(self, pos: int) -> BlockMatrix:
-        return self.masks[pos]
-
-    def with_mask(self, pos: int, mat: BlockMatrix) -> "CommonRandomness":
-        if pos in self.pinned:
-            raise ParamError(f"stack position {pos} is pinned to zero")
-        masks = list(self.masks)
-        masks[pos] = mat
-        return CommonRandomness(self.params, tuple(masks))
+        return len(self.masks) - len(pinned_positions(self.params))
 
 
 @lru_cache(maxsize=64)
@@ -686,37 +588,15 @@ def _decode_system(params: SmbmmParams, xs):
     return SquareSystem(field, rows)
 
 
-def _select_responses(responses, k):
-    responses = list(responses)
-    if len(responses) < k:
-        raise InsufficientResponses(f"got {len(responses)} responses, need {k}")
-    used = responses[:k]
-    indices = [r.server_index for r in used]
-    if len(set(indices)) != len(indices):
-        raise DuplicatePoint("duplicate server index among responses")
-    return used
-
-
 def solve_response_stack(responses, params: SmbmmParams):
     """Solve (V1 V2) x = y for every scalar position.
 
     Returns the full masked coefficient stack as K block matrices:
     H+Z for the pole blocks, U+Z for the monomial tail.
     """
-    k = params.threshold
-    used = _select_responses(responses, k)
-    xs = [params.alphas[r.server_index] for r in used]
-    system = _decode_system(params, xs)
-    field = params.field
-    br, bc = used[0].y.rows, used[0].y.cols
-    stack_data = [[0] * (br * bc) for _ in range(k)]
-    for u in range(br):
-        for v in range(bc):
-            col = [r.y.entry(u, v) for r in used]
-            solved = system.solve(col)
-            for pos in range(k):
-                stack_data[pos][u * bc + v] = solved[pos]
-    return [BlockMatrix(br, bc, d, field) for d in stack_data]
+    used = select_responses(responses, params)
+    system = _decode_system(params, [params.alphas[r.server_index] for r in used])
+    return solve_stack(system, used, range(params.threshold))
 
 
 def decode_smbmm(responses, params: SmbmmParams):
@@ -747,20 +627,20 @@ _DECODE = "O~(lam*theta*K*(log K)^2 / (L*G*m*n))"
 
 def cost_report_smbmm(params: SmbmmParams) -> CostReport:
     part = params.partition
-    triple = params.thresholds
+    pair = params.thresholds
     k = params.threshold
     glmn = params.g * params.l * part.m * part.n
     notes = []
-    if triple.k_prime != triple.k_double_prime:
+    if pair.k_prime != pair.k_double_prime:
         notes.append(
-            f"variant thresholds differ: A-major K'={triple.k_prime}, "
-            f"B-major K''={triple.k_double_prime}; this run uses "
+            f"variant thresholds differ: A-major K'={pair.k_prime}, "
+            f"B-major K''={pair.k_double_prime}; this run uses "
             f"{params.variant!r} with K={k}"
         )
     return CostReport(
         recovery_threshold=k,
-        threshold_a_major=triple.k_prime,
-        threshold_b_major=triple.k_double_prime,
+        threshold_a_major=pair.k_prime,
+        threshold_b_major=pair.k_double_prime,
         variant=params.variant,
         upload_a=Fraction(params.n_servers, params.l * part.m * part.p),
         upload_b=Fraction(params.n_servers, params.l * part.n * part.p),

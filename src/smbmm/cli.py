@@ -73,13 +73,28 @@ def _load_config(path, allowed):
     return cfg
 
 
+def _as_int(value, name, optional=False):
+    """One integer config value; anything int() rejects is a ConfigError."""
+    if optional and value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _int_fields(cfg, names):
+    _require_fields(cfg, names)
+    return {f: _as_int(cfg[f], f) for f in names}
+
+
 def _parse_data(spec):
     if spec is None:
         return None
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError('data must be {"random": seed} or {"files": {...}}')
     if "random" in spec:
-        return harness.DataSource.random(int(spec["random"]))
+        return harness.DataSource.random(_as_int(spec["random"], "data.random"))
     if "files" in spec:
         files = spec["files"]
         if not isinstance(files, dict) or set(files) != {"a", "b"}:
@@ -94,9 +109,16 @@ def _parse_stragglers(spec):
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError('stragglers must be {"fixed": [...]} or {"random": count}')
     if "fixed" in spec:
-        return harness.StragglerModel.fixed(spec["fixed"])
+        fixed = spec["fixed"]
+        if not isinstance(fixed, list):
+            raise ConfigError("stragglers.fixed must be a list of server indices")
+        return harness.StragglerModel.fixed(
+            [_as_int(i, "stragglers.fixed") for i in fixed]
+        )
     if "random" in spec:
-        return harness.StragglerModel.random_count(int(spec["random"]))
+        return harness.StragglerModel.random_count(
+            _as_int(spec["random"], "stragglers.random")
+        )
     raise ConfigError(f"unknown straggler mode {list(spec)[0]!r}")
 
 
@@ -110,20 +132,19 @@ def _run_config_from_dict(cfg, protocol, seed_override=None):
     base = ["m", "p", "n", "xa", "xb", "q", "n_servers", "rows", "inner", "cols"]
     if protocol == "smbmm":
         base += ["g", "l"]
-    _require_fields(cfg, base)
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+    v = _int_fields(cfg, base)
+    seed = seed_override if seed_override is not None else _as_int(cfg.get("seed", 0), "seed")
     common = dict(
-        m=int(cfg["m"]), p=int(cfg["p"]), n=int(cfg["n"]),
-        x_a=int(cfg["xa"]), x_b=int(cfg["xb"]),
-        q=int(cfg["q"]), n_servers=int(cfg["n_servers"]),
-        rows=int(cfg["rows"]), inner=int(cfg["inner"]), cols=int(cfg["cols"]),
+        m=v["m"], p=v["p"], n=v["n"], x_a=v["xa"], x_b=v["xb"],
+        q=v["q"], n_servers=v["n_servers"],
+        rows=v["rows"], inner=v["inner"], cols=v["cols"],
         seed=seed,
         variant=str(cfg.get("variant", "auto")),
         data=_parse_data(cfg.get("data")),
         stragglers=_parse_stragglers(cfg.get("stragglers")),
     )
     if protocol == "smbmm":
-        return harness.SmbmmRunConfig(g=int(cfg["g"]), l=int(cfg["l"]), **common)
+        return harness.SmbmmRunConfig(g=v["g"], l=v["l"], **common)
     return harness.SsmmRunConfig(**common)
 
 
@@ -225,7 +246,7 @@ def _cmd_sweep(args):
         cell = dict(base)
         cell.update(dict(zip(names, combo)))
         cells.append(_run_config_from_dict(cell, protocol))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _as_int(cfg.get("seed", 0), "seed")
     records, csv_text = harness.sweep(cells, seed, timing=args.timing)
     _write_or_print(csv_text, args.out)
     ok = all(r is not None and r.passed for r in records)
@@ -233,29 +254,26 @@ def _cmd_sweep(args):
 
 
 def _cmd_thresholds(args):
+    pair = ssmm.recovery_threshold_ssmm(args.m, args.p, args.n, args.xa, args.xb)
     out = {
         "ssmm": {
-            "a_major": None, "b_major": None, "k": None, "best_variant": None,
+            "a_major": pair.a_major,
+            "b_major": pair.b_major,
+            "k": pair.k,
+            "best_variant": pair.best_variant,
         }
-    }
-    pair = ssmm.recovery_threshold_ssmm(args.m, args.p, args.n, args.xa, args.xb)
-    out["ssmm"] = {
-        "a_major": pair.a_major,
-        "b_major": pair.b_major,
-        "k": pair.k,
-        "best_variant": pair.best_variant,
     }
     if args.g is not None or args.l is not None:
         if args.g is None or args.l is None:
             raise ConfigError("batch thresholds need both --g and --l")
-        triple = batch.recovery_threshold_smbmm(
+        batch_pair = batch.recovery_threshold_smbmm(
             args.m, args.p, args.n, args.xa, args.xb, args.g, args.l
         )
         out["smbmm"] = {
-            "k_prime": triple.k_prime,
-            "k_double_prime": triple.k_double_prime,
-            "k": triple.k,
-            "best_variant": triple.best_variant,
+            "k_prime": batch_pair.k_prime,
+            "k_double_prime": batch_pair.k_double_prime,
+            "k": batch_pair.k,
+            "best_variant": batch_pair.best_variant,
         }
     if args.format == "json":
         text = json.dumps(out, indent=2, sort_keys=True) + "\n"
@@ -315,16 +333,16 @@ def _cmd_compare(args):
 def _audit_params(cfg):
     protocol = cfg.get("protocol")
     if protocol == "ssmm":
-        _require_fields(cfg, ["m", "p", "n", "xa", "xb", "q", "n_servers"])
+        v = _int_fields(cfg, ["m", "p", "n", "xa", "xb", "q", "n_servers"])
         return protocol, ssmm.SsmmParams.make(
-            cfg["m"], cfg["p"], cfg["n"], cfg["xa"], cfg["xb"],
-            cfg["n_servers"], cfg["q"], variant=cfg.get("variant", "auto"),
+            v["m"], v["p"], v["n"], v["xa"], v["xb"],
+            v["n_servers"], v["q"], variant=cfg.get("variant", "auto"),
         )
     if protocol == "smbmm":
-        _require_fields(cfg, ["m", "p", "n", "xa", "xb", "g", "l", "q", "n_servers"])
+        v = _int_fields(cfg, ["m", "p", "n", "xa", "xb", "g", "l", "q", "n_servers"])
         return protocol, batch.SmbmmParams.make(
-            cfg["m"], cfg["p"], cfg["n"], cfg["xa"], cfg["xb"],
-            cfg["g"], cfg["l"], cfg["n_servers"], cfg["q"],
+            v["m"], v["p"], v["n"], v["xa"], v["xb"],
+            v["g"], v["l"], v["n_servers"], v["q"],
             variant=cfg.get("variant", "auto"),
         )
     raise ConfigError(f"unknown protocol {protocol!r}")
@@ -333,13 +351,14 @@ def _audit_params(cfg):
 def _cmd_audit(args):
     cfg = _load_config(args.config, _AUDIT_FIELDS)
     protocol, params = _audit_params(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _as_int(cfg.get("seed", 0), "seed")
+    max_subsets = _as_int(cfg.get("max_subsets"), "max_subsets", optional=True)
     sides = cfg.get("sides", ["a", "b"])
     report = {"protocol": protocol, "certificates": [], "leakage": []}
     failed = False
     for side in sides:
         cert = audit.certify_server_privacy(
-            params, side, max_subsets=cfg.get("max_subsets"), seed=seed
+            params, side, max_subsets=max_subsets, seed=seed
         )
         report["certificates"].append({
             "side": side,
@@ -358,8 +377,8 @@ def _cmd_audit(args):
             opts = leak["user_view"]
             rep = audit.enumerate_leakage(
                 "smbmm_user_view", params,
-                coordinate=opts.get("coordinate"),
-                data_samples=int(opts.get("data_samples", 4)),
+                coordinate=_as_int(opts.get("coordinate"), "coordinate", optional=True),
+                data_samples=_as_int(opts.get("data_samples", 4), "data_samples"),
                 seed=seed,
             )
         else:

@@ -12,6 +12,7 @@ from . import _kernels
 from .errors import (
     DegeneratePole,
     DuplicatePoint,
+    ParamError,
     PoleCollision,
     ShapeError,
     SingularSystem,
@@ -55,11 +56,11 @@ class FieldConfig:
 
     def __post_init__(self):
         if self.q < 5:
-            raise ValueError(f"modulus must be at least 5, got {self.q}")
+            raise ParamError(f"modulus must be at least 5, got {self.q}")
         if self.q >= 1 << 64:
-            raise ValueError("modulus must fit in 64 bits")
+            raise ParamError("modulus must fit in 64 bits")
         if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+            raise ParamError(f"modulus {self.q} is not prime")
 
     def element(self, v: int) -> int:
         return v % self.q

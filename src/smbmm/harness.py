@@ -1,9 +1,9 @@
 """In-process simulation of the two sources, N servers and the user.
 
 A run distributes encoded shares (and, for the batch protocol, the
-server-shared randomness), erases the straggler set, collects the
-surviving responses in a worker pool, decodes from the first K in
-server-index order, and checks the result bit-exactly against the plain
+server-shared randomness), erases the straggler set, runs the surviving
+servers one after another in server-index order, decodes from the first
+K responses, and checks the result bit-exactly against the plain
 product oracle. Realized element counts are compared against the
 closed-form cost report with exact rational arithmetic.
 
@@ -12,7 +12,6 @@ Straggling is modelled as erasure: a straggler simply never responds.
 
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,8 +20,6 @@ from .costs import CostReport
 from .errors import ConfigError, TooManyStragglers
 from .matrix import BlockMatrix, load_matrix, matmul_oracle, random_matrix
 from .rng import Stream
-
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -181,10 +178,6 @@ def _load_batch(cfg, fieldcfg, count):
     raise ConfigError(f"unknown data source {src.kind!r}")
 
 
-def _surviving(shares, stragglers):
-    return [s for s in shares if s.server_index not in stragglers]
-
-
 def run_ssmm(cfg: SsmmRunConfig) -> RunRecord:
     start = time.perf_counter()
     params = cfg.params()
@@ -196,9 +189,9 @@ def run_ssmm(cfg: SsmmRunConfig) -> RunRecord:
         a_mat, b_mat, params, noise_seed=master.derive("noise").next_u64()
     )
     stragglers = cfg.stragglers.pick(cfg.n_servers, k, master)
-    live = _surviving(shares, stragglers)
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, max(1, len(live)))) as pool:
-        responses = list(pool.map(ssmm.server_compute_ssmm, live))
+    responses = [
+        ssmm.server_compute_ssmm(s) for s in shares if s.server_index not in stragglers
+    ]
     used = responses[:k]
     decoded = ssmm.decode_ssmm(used, params)
     ok = decoded == matmul_oracle(a_mat, b_mat)
@@ -248,9 +241,11 @@ def run_smbmm(cfg: SmbmmRunConfig) -> RunRecord:
         (cfg.rows // cfg.m, cfg.cols // cfg.n),
     )
     stragglers = cfg.stragglers.pick(cfg.n_servers, k, master)
-    live = _surviving(shares, stragglers)
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, max(1, len(live)))) as pool:
-        responses = list(pool.map(lambda s: batch.server_compute_smbmm(s, cr, params), live))
+    responses = [
+        batch.server_compute_smbmm(s, cr, params)
+        for s in shares
+        if s.server_index not in stragglers
+    ]
     used = responses[:k]
     decoded = batch.decode_smbmm(used, params)
     expected = [matmul_oracle(a, b) for a, b in zip(batch_a, batch_b)]

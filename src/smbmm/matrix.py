@@ -8,7 +8,7 @@ shape checks, no implicit padding anywhere.
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import ShapeError
+from .errors import ParamError, ShapeError
 from .field import FieldConfig
 from .rng import Stream
 
@@ -23,7 +23,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.m < 1 or self.p < 1 or self.n < 1:
-            raise ValueError("partition parameters must be positive")
+            raise ParamError("partition parameters must be positive")
 
 
 class BlockMatrix:

@@ -50,6 +50,15 @@ class ThresholdPair:
     def of(self, variant: str) -> int:
         return self.a_major if variant == A_MAJOR else self.b_major
 
+    # the batch protocol's names: K' (A-major) and K'' (B-major)
+    @property
+    def k_prime(self) -> int:
+        return self.a_major
+
+    @property
+    def k_double_prime(self) -> int:
+        return self.b_major
+
 
 def recovery_threshold_ssmm(m, p, n, x_a, x_b) -> ThresholdPair:
     """Recovery thresholds of both encoding layouts."""
@@ -64,34 +73,70 @@ def _plan(m, p, n, x_a, x_b, variant):
     """Exponent layout: block/noise exponent maps and the desired-index map.
 
     All maps take 1-based block indices and return exponents of alpha.
+    "span" is the coefficient span of the strided side below its noise
+    blocks. With X_A = X_B = 0 this is the noiseless entangled layout.
     """
     if variant == A_MAJOR:
         stride = n * p + x_b
+        span = (m - 1) * stride + n * p
         return {
             "a_block": lambda k, l: (l - 1) + (k - 1) * stride,
-            "a_noise": lambda x: (m - 1) * stride + n * p + (x - 1),
+            "a_noise": lambda x: span + (x - 1),
             "b_block": lambda l, j: (p - l) + (j - 1) * p,
             "b_noise": lambda x: n * p + (x - 1),
             "desired": lambda k, j: (k - 1) * stride + j * p - 1,
+            "span": span,
         }
     if variant == B_MAJOR:
         stride = m * p + x_a
+        span = (n - 1) * stride + m * p
         return {
             "a_block": lambda k, l: (l - 1) + (k - 1) * p,
             "a_noise": lambda x: m * p + (x - 1),
             "b_block": lambda l, j: (p - l) + (j - 1) * stride,
-            "b_noise": lambda x: (n - 1) * stride + m * p + (x - 1),
+            "b_noise": lambda x: span + (x - 1),
             "desired": lambda k, j: (j - 1) * stride + k * p - 1,
+            "span": span,
         }
     raise ParamError(f"unknown variant {variant!r}")
 
 
 def noise_exponents(m, p, n, x_a, x_b, variant, side):
-    """Exponents carrying the noise blocks of one source (audit hook)."""
+    """Exponents carrying the noise blocks of one source (audit hook).
+
+    The batch protocol's first sub-encoder uses the same layout, so the
+    exponents hold for both protocols.
+    """
     plan = _plan(m, p, n, x_a, x_b, variant)
     count = x_a if side == "a" else x_b
     fn = plan["a_noise"] if side == "a" else plan["b_noise"]
     return [fn(x) for x in range(1, count + 1)]
+
+
+def encoder_terms(plan, grid_a, grid_b, noise_a=(), noise_b=()):
+    """(exponent, block) terms of the A and B encoders under one plan:
+    data blocks row-major over the block grid, then the noise blocks."""
+    a_terms = [
+        (plan["a_block"](k, l), blk)
+        for k, row in enumerate(grid_a, 1)
+        for l, blk in enumerate(row, 1)
+    ]
+    a_terms += [(plan["a_noise"](x), z) for x, z in enumerate(noise_a, 1)]
+    b_terms = [
+        (plan["b_block"](l, j), blk)
+        for l, row in enumerate(grid_b, 1)
+        for j, blk in enumerate(row, 1)
+    ]
+    b_terms += [(plan["b_noise"](x), z) for x, z in enumerate(noise_b, 1)]
+    return a_terms, b_terms
+
+
+def eval_terms(terms, t, q, rows, cols, field) -> BlockMatrix:
+    """Evaluate sum of block * t**exp."""
+    acc = [0] * (rows * cols)
+    for exp, mat in terms:
+        _kernels.axpy_mod(acc, mat.data, pow(t, exp, q), q)
+    return BlockMatrix(rows, cols, acc, field)
 
 
 @dataclass(frozen=True)
@@ -158,13 +203,6 @@ class SsmmResponse:
     y: BlockMatrix
 
 
-def _eval_terms(terms, alpha, q, shape_rows, shape_cols, field):
-    acc = [0] * (shape_rows * shape_cols)
-    for exp, mat in terms:
-        _kernels.axpy_mod(acc, mat.data, pow(alpha, exp, q), q)
-    return BlockMatrix(shape_rows, shape_cols, acc, field)
-
-
 def encode_ssmm(a: BlockMatrix, b: BlockMatrix, params: SsmmParams, noise_seed: int):
     """Per-server encoded share pairs (A-tilde(alpha_i), B-tilde(alpha_i))."""
     part = params.partition
@@ -186,18 +224,7 @@ def encode_ssmm(a: BlockMatrix, b: BlockMatrix, params: SsmmParams, noise_seed: 
     noise_a = [random_matrix(ar, ac, field, src1) for _ in range(params.x_a)]
     noise_b = [random_matrix(br, bc, field, src2) for _ in range(params.x_b)]
 
-    a_terms = [
-        (plan["a_block"](k, l), grid_a[k - 1][l - 1])
-        for k in range(1, m + 1)
-        for l in range(1, p + 1)
-    ]
-    a_terms += [(plan["a_noise"](x), noise_a[x - 1]) for x in range(1, params.x_a + 1)]
-    b_terms = [
-        (plan["b_block"](l, j), grid_b[l - 1][j - 1])
-        for l in range(1, p + 1)
-        for j in range(1, n + 1)
-    ]
-    b_terms += [(plan["b_noise"](x), noise_b[x - 1]) for x in range(1, params.x_b + 1)]
+    a_terms, b_terms = encoder_terms(plan, grid_a, grid_b, noise_a, noise_b)
 
     q = field.q
     shares = []
@@ -205,8 +232,8 @@ def encode_ssmm(a: BlockMatrix, b: BlockMatrix, params: SsmmParams, noise_seed: 
         shares.append(
             SsmmShare(
                 i,
-                _eval_terms(a_terms, alpha, q, ar, ac, field),
-                _eval_terms(b_terms, alpha, q, br, bc, field),
+                eval_terms(a_terms, alpha, q, ar, ac, field),
+                eval_terms(b_terms, alpha, q, br, bc, field),
             )
         )
     return shares
@@ -216,12 +243,12 @@ def server_compute_ssmm(share: SsmmShare) -> SsmmResponse:
     return SsmmResponse(share.server_index, share.a_share.matmul(share.b_share))
 
 
-def decode_ssmm(responses, params: SsmmParams) -> BlockMatrix:
-    """Interpolate the product polynomial from K responses and assemble C.
+def select_responses(responses, params):
+    """The first K responses, checked for a usable decode.
 
-    Uses the first K responses of the list; any K-subset gives the same
-    answer. The Vandermonde system is factored once and reused across
-    all scalar positions of the response blocks.
+    Rejects too few responses, server indices outside the point list,
+    repeated server indices, and blocks whose shape differs from the
+    first response's.
     """
     k = params.threshold
     responses = list(responses)
@@ -229,37 +256,48 @@ def decode_ssmm(responses, params: SsmmParams) -> BlockMatrix:
         raise InsufficientResponses(f"got {len(responses)} responses, need {k}")
     used = responses[:k]
     indices = [r.server_index for r in used]
+    if any(not 0 <= i < len(params.alphas) for i in indices):
+        raise PointError(f"server index outside 0..{len(params.alphas) - 1}")
     if len(set(indices)) != len(indices):
         raise DuplicatePoint("duplicate server index among responses")
-    field = params.field
-    q = field.q
-    xs = [params.alphas[i] % q for i in indices]
+    shape = (used[0].y.rows, used[0].y.cols)
+    if any((r.y.rows, r.y.cols) != shape for r in used):
+        raise ShapeError("response blocks differ in shape")
+    return used
 
-    rows = []
-    for x in xs:
-        row = [1] * k
-        for c in range(1, k):
-            row[c] = row[c - 1] * x % q
-        rows.append(row)
-    system = SquareSystem(field, rows)
+
+def solve_stack(system, used, positions):
+    """Solve the factored system once per scalar position of the
+    response blocks and keep the listed solution coordinates, each as
+    one block."""
+    br, bc = used[0].y.rows, used[0].y.cols
+    out = [[0] * (br * bc) for _ in positions]
+    for e in range(br * bc):
+        solved = system.solve([r.y.data[e] for r in used])
+        for data, pos in zip(out, positions):
+            data[e] = solved[pos]
+    return [BlockMatrix(br, bc, data, system.field) for data in out]
+
+
+def decode_ssmm(responses, params: SsmmParams) -> BlockMatrix:
+    """Interpolate the product polynomial from K responses and assemble C.
+
+    Uses the first K responses of the list; any K-subset gives the same
+    answer. The Vandermonde system is factored once and reused across
+    all scalar positions of the response blocks.
+    """
+    used = select_responses(responses, params)
+    q = params.field.q
+    xs = [params.alphas[r.server_index] % q for r in used]
+    system = SquareSystem(params.field, [[pow(x, c, q) for c in range(len(xs))] for x in xs])
 
     part = params.partition
-    m, p, n = part.m, part.p, part.n
-    br, bc = used[0].y.rows, used[0].y.cols
-    desired = _plan(m, p, n, params.x_a, params.x_b, params.variant)["desired"]
-
-    blocks = [[[0] * (br * bc) for _ in range(n)] for _ in range(m)]
-    for u in range(br):
-        for v in range(bc):
-            col = [r.y.entry(u, v) for r in used]
-            coeffs = system.solve(col)
-            for kk in range(1, m + 1):
-                for jj in range(1, n + 1):
-                    blocks[kk - 1][jj - 1][u * bc + v] = coeffs[desired(kk, jj)]
-    grid = [
-        [BlockMatrix(br, bc, blocks[i][j], field) for j in range(n)] for i in range(m)
-    ]
-    return assemble(grid)
+    desired = _plan(part.m, part.p, part.n, params.x_a, params.x_b, params.variant)["desired"]
+    blocks = solve_stack(
+        system, used,
+        [desired(kk, jj) for kk in range(1, part.m + 1) for jj in range(1, part.n + 1)],
+    )
+    return assemble([blocks[i * part.n : (i + 1) * part.n] for i in range(part.m)])
 
 
 _ENC_A = "O~(lam*xi*N*(log N)^2 / (m*p))"

@@ -100,6 +100,41 @@ def test_wrong_schema_version_rejected(tmp_path, capsys):
     assert main(["ssmm", "run", "--config", str(path)]) == 2
 
 
+def test_bad_modulus_is_a_protocol_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    base = json.loads(open(cfg("example_3a.json")).read())
+    base["q"] = 256
+    path.write_text(json.dumps(base))
+    assert main(["ssmm", "run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ParamError: modulus 256 is not prime")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("example_3a.json", "m", "two"),
+    ("example_3a.json", "seed", [1]),
+    ("example_3a.json", "data", {"random": "x"}),
+    ("example_3a.json", "stragglers", {"random": None}),
+    ("example_3a.json", "stragglers", {"fixed": ["first"]}),
+    ("example_4a.json", "g", "2.5"),
+    ("audit_tiny_ssmm.json", "q", "big"),
+    ("audit_tiny_ssmm.json", "max_subsets", "all"),
+    ("audit_tiny_user_view.json", "leakage", {"user_view": {"data_samples": "three"}}),
+    ("audit_tiny_user_view.json", "leakage", {"user_view": {"coordinate": "one"}}),
+])
+def test_non_integer_config_field_exits_2(tmp_path, capsys, name, key, value):
+    path = tmp_path / "bad.json"
+    base = json.loads(open(cfg(name)).read())
+    base[key] = value
+    path.write_text(json.dumps(base))
+    command = "audit" if name.startswith("audit") else base["protocol"]
+    argv = [command] if command == "audit" else [command, "run"]
+    assert main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "must be an integer" in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["smbmm", "run"])  # --config is required

@@ -3,6 +3,7 @@ import pytest
 from smbmm.errors import (
     DegeneratePole,
     DuplicatePoint,
+    ParamError,
     PoleCollision,
     ShapeError,
     SingularSystem,
@@ -27,11 +28,11 @@ from oracles import det_mod, rank_mod
 
 
 def test_field_config_rejects_composites_and_tiny_moduli():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParamError):
         FieldConfig(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParamError):
         FieldConfig(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParamError):
         FieldConfig(3)
     FieldConfig(5)
     FieldConfig(18446744073709551557)  # largest 64-bit prime

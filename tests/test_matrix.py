@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from smbmm.errors import ShapeError
+from smbmm.errors import ParamError, ShapeError
 from smbmm.field import FieldConfig
 from smbmm.matrix import (
     BlockMatrix,
+    PartitionSpec,
     assemble,
     load_matrix,
     matmul_oracle,
@@ -170,3 +171,10 @@ def test_stream_rejection_bound():
     s = Stream(1)
     for _ in range(1000):
         assert 0 <= s.next_below(7) < 7
+
+
+def test_partition_spec_rejects_nonpositive_counts():
+    with pytest.raises(ParamError):
+        PartitionSpec(0, 1, 1)
+    with pytest.raises(ParamError):
+        PartitionSpec(1, 1, -2)

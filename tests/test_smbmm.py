@@ -26,6 +26,7 @@ from smbmm.errors import (
     BatchSizeError,
     HypothesisViolation,
     InsufficientResponses,
+    PointError,
     ShapeError,
 )
 from smbmm.matrix import BlockMatrix, matmul_oracle, random_matrix
@@ -78,6 +79,26 @@ def test_derived_indices_worked_example():
     assert idx.lam == (2, 5, 8, 11)
     assert all(0 <= r < idx.psi for r in idx.gamma)
     assert all(0 <= r < idx.kappa for r in idx.lam)
+
+
+def test_derived_indices_and_sub_encoders_b_major_worked_example():
+    idx = derive_indices(2, 3, 2, 2, 3, 2, 2, B_MAJOR)
+    assert idx.psi == 14 and idx.kappa == 12
+    assert idx.phi == 21 and idx.delta == 23
+    assert idx.tail_degree == 13
+    assert idx.gamma == (2, 5, 10, 13)
+    assert idx.lam == (2, 5, 8, 11)
+
+    params = _example_params(variant=B_MAJOR)
+    batch_a, batch_b = _batches(params, 12, 12, 12, 1)
+    enc = build_sub_encoders(batch_a, batch_b, params, noise_seed=2)
+    # terms are listed blocks first (row-major over the block grid), then noise
+    p1 = [e for e, _ in enc.p_terms[(1, 1)]]
+    q1 = [e for e, _ in enc.q_terms[(1, 1)]]
+    assert p1 == [0, 1, 2, 3, 4, 5] + [6, 7]
+    assert q1 == [2, 10, 1, 9, 0, 8] + [14, 15, 16]
+    assert [e for e, _ in enc.p_terms[(1, 2)]] == [0, 1, 2, 3, 4, 5]
+    assert [e for e, _ in enc.q_terms[(1, 2)]] == [2, 8, 1, 7, 0, 6]
 
 
 def _example_params(variant=A_MAJOR, q=1009, n_servers=85):
@@ -353,6 +374,26 @@ def test_decode_rejects_duplicate_responses():
     k = params.threshold
     with pytest.raises(DuplicatePoint):
         decode_smbmm([responses[0]] + responses[: k - 1], params)
+
+
+@pytest.mark.parametrize("index", [18, 99, -1])
+def test_decode_rejects_out_of_range_server_index(index):
+    params = SmbmmParams.make(2, 1, 2, 1, 1, 1, 2, 18, 101)
+    responses, _ = _full_run(params, 2, 1, 2, 56)
+    bad = [SmbmmResponse(index, responses[0].y)] + responses[1:]
+    with pytest.raises(PointError):
+        decode_smbmm(bad, params)
+
+
+def test_decode_rejects_mismatched_response_shape():
+    params = SmbmmParams.make(2, 1, 2, 1, 1, 1, 2, 18, 101)
+    responses, _ = _full_run(params, 4, 1, 4, 57)  # 2x2 response blocks
+    flat = BlockMatrix(1, 4, responses[0].y.data, params.field)
+    with pytest.raises(ShapeError):
+        decode_smbmm([SmbmmResponse(0, flat)] + responses[1:], params)
+    with pytest.raises(ShapeError):
+        solve_response_stack(responses[:5] + [SmbmmResponse(5, flat)] + responses[6:],
+                             params)
 
 
 def test_default_points_fill_tight_fields():

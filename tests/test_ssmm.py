@@ -14,6 +14,7 @@ from smbmm.ssmm import (
     A_MAJOR,
     B_MAJOR,
     SsmmParams,
+    SsmmResponse,
     _plan,
     cost_report_ssmm,
     decode_ssmm,
@@ -188,6 +189,26 @@ def test_decode_worked_example_and_failure_modes():
         decode_ssmm(responses[:24], params)
     with pytest.raises(DuplicatePoint):
         decode_ssmm([responses[0]] + responses[:24], params)
+
+
+@pytest.mark.parametrize("index", [4, 99, -1])
+def test_decode_rejects_out_of_range_server_index(index):
+    params = SsmmParams.make(1, 1, 1, 1, 1, 4, 101)
+    _, _, responses = _pipeline(params, 2, 2, 2, 11)
+    bad = [SsmmResponse(index, responses[0].y)] + responses[1:]
+    with pytest.raises(PointError):
+        decode_ssmm(bad, params)
+
+
+def test_decode_rejects_mismatched_response_shape():
+    # a 1x4 block among 2x2 ones used to decode to a wrong product silently
+    params = SsmmParams.make(1, 1, 1, 1, 1, 4, 101)
+    _, _, responses = _pipeline(params, 2, 2, 2, 12)
+    flat = BlockMatrix(1, 4, responses[0].y.data, params.field)
+    with pytest.raises(ShapeError):
+        decode_ssmm([SsmmResponse(0, flat)] + responses[1:], params)
+    with pytest.raises(ShapeError):
+        decode_ssmm(responses[:2] + [SsmmResponse(2, flat)], params)
 
 
 def test_randomized_oracle_equivalence_and_subset_invariance():
