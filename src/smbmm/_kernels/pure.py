@@ -6,19 +6,20 @@ Reference implementations of the hot inner loops. The compiled module
 row-major lists of canonical residues and arbitrary 64-bit prime q.
 """
 
+from operator import mul
+
 
 def matmul_mod(a, b, n, k, m, q):
-    """(n x k) @ (k x m) over GF(q), flat row-major operands and result."""
-    out = [0] * (n * m)
+    """(n x k) @ (k x m) over GF(q), flat row-major operands and result.
+
+    Each entry is one exact dot product of a row with a pre-sliced
+    column, reduced once.
+    """
+    cols = [b[j::m] for j in range(m)]
+    out = []
     for i in range(n):
-        row = i * k
-        base = i * m
-        for t in range(k):
-            av = a[row + t]
-            if av:
-                boff = t * m
-                for j in range(m):
-                    out[base + j] = (out[base + j] + av * b[boff + j]) % q
+        row = a[i * k : (i + 1) * k]
+        out.extend(sum(map(mul, row, col)) % q for col in cols)
     return out
 
 

@@ -8,6 +8,8 @@ dimension while all cross-product interference collapses onto a shared
 monomial tail of phi+1 dimensions. Servers add a noise polynomial built
 from common randomness with the exact same pole structure, which masks
 every decoded coordinate except the pinned-zero desired positions.
+Encoding (per group and side) and the noise polynomial (per server) are
+one weight-matrix product each over stacked blocks.
 
 Decoding writes the K responses as (V1 V2) x = y where V1 is a
 Cauchy-Vandermonde matrix and V2 stacks one lower-triangular Toeplitz
@@ -30,7 +32,7 @@ single-product encoder, the l>=2 ones are that encoder with X_A = X_B = 0.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import _kernels
 from .costs import CostReport
@@ -51,6 +53,7 @@ from .ssmm import (
     ThresholdPair,
     _plan,
     encoder_terms,
+    eval_stack,
     eval_terms,
     recovery_threshold_ssmm,
     select_responses,
@@ -69,6 +72,7 @@ __all__ = [
     "encode_smbmm",
     "gen_common_randomness",
     "eval_noise_poly",
+    "eval_terms",
     "server_compute_smbmm",
     "solve_response_stack",
     "decode_smbmm",
@@ -330,49 +334,58 @@ def _span(params, ell):
     return params.indices.psi if ell == 1 else params.indices.kappa
 
 
+def _encoder_weights(params, h, alpha, i, enc):
+    """Weight rows of group h's A and B encoders at one point, over the
+    terms of all ell in order: the A side scales ell's terms by the
+    other poles' powers, the B side by the inverse of ell's own."""
+    q = params.field.q
+    ts, pole_pows = [], []
+    for ell in range(1, params.l + 1):
+        t = (params.pole(h, ell) - alpha) % q
+        if t == 0:
+            raise PoleCollision(f"alpha_{i} hits pole f_({h},{ell})")
+        ts.append(t)
+        pole_pows.append(pow(t, _span(params, ell), q))
+    a_row, b_row = [], []
+    for ell, t in enumerate(ts, 1):
+        cofactor = 1
+        for other in range(params.l):
+            if other != ell - 1:
+                cofactor = cofactor * pole_pows[other] % q
+        inv_pow = params.field.inv(pole_pows[ell - 1])
+        a_row += [cofactor * pow(t, e, q) % q for e, _ in enc.p_terms[(h, ell)]]
+        b_row += [inv_pow * pow(t, e, q) % q for e, _ in enc.q_terms[(h, ell)]]
+    return a_row, b_row
+
+
 def encode_smbmm(batch_a, batch_b, params: SmbmmParams, noise_seed: int):
     """Per-server share: one encoded (A, B) pair per group.
 
     The A encoder is multiplied through by the pole product, so it is a
     polynomial evaluation; the B encoder divides each sub-encoder by its
-    own pole power.
+    own pole power. Each (group, side) is one N x T weight matrix times
+    the T stacked sub-encoder blocks of all ell.
     """
     enc = build_sub_encoders(batch_a, batch_b, params, noise_seed)
     part = params.partition
     field = params.field
-    q = field.q
     a0, b0 = batch_a[0], batch_b[0]
     ar, ac = a0.rows // part.m, a0.cols // part.p
     br, bc = b0.rows // part.p, b0.cols // part.n
-    L = params.l
+    ells = range(1, params.l + 1)
 
-    shares = []
-    for i, alpha in enumerate(params.alphas):
-        a_parts, b_parts = [], []
-        for h in range(1, params.g + 1):
-            ts = []
-            pole_pows = []
-            for ell in range(1, L + 1):
-                t = (params.pole(h, ell) - alpha) % q
-                if t == 0:
-                    raise PoleCollision(f"alpha_{i} hits pole f_({h},{ell})")
-                ts.append(t)
-                pole_pows.append(pow(t, _span(params, ell), q))
-            a_acc = [0] * (ar * ac)
-            b_acc = [0] * (br * bc)
-            for ell in range(1, L + 1):
-                cofactor = 1
-                for other in range(L):
-                    if other != ell - 1:
-                        cofactor = cofactor * pole_pows[other] % q
-                p_val = eval_terms(enc.p_terms[(h, ell)], ts[ell - 1], q, ar, ac, field)
-                q_val = eval_terms(enc.q_terms[(h, ell)], ts[ell - 1], q, br, bc, field)
-                _kernels.axpy_mod(a_acc, p_val.data, cofactor, q)
-                _kernels.axpy_mod(b_acc, q_val.data, field.inv(pole_pows[ell - 1]), q)
-            a_parts.append(BlockMatrix(ar, ac, a_acc, field))
-            b_parts.append(BlockMatrix(br, bc, b_acc, field))
-        shares.append(SmbmmShare(i, tuple(a_parts), tuple(b_parts)))
-    return shares
+    a_groups, b_groups = [], []
+    for h in range(1, params.g + 1):
+        rows = [_encoder_weights(params, h, alpha, i, enc)
+                for i, alpha in enumerate(params.alphas)]
+        a_blocks = [blk for ell in ells for _, blk in enc.p_terms[(h, ell)]]
+        b_blocks = [blk for ell in ells for _, blk in enc.q_terms[(h, ell)]]
+        a_groups.append(eval_stack([a for a, _ in rows], a_blocks, ar, ac, field))
+        b_groups.append(eval_stack([b for _, b in rows], b_blocks, br, bc, field))
+    return [
+        SmbmmShare(i, tuple(g[i] for g in a_groups), tuple(g[i] for g in b_groups))
+        for i in range(len(params.alphas))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +452,12 @@ class CommonRandomness:
     @property
     def random_count(self) -> int:
         return len(self.masks) - len(pinned_positions(self.params))
+
+    @cached_property
+    def stacked(self) -> list:
+        """All mask data as one flat K x (block size) row-major list,
+        built on first use and shared by every server."""
+        return [v for mask in self.masks for v in mask.data]
 
 
 @lru_cache(maxsize=64)
@@ -517,29 +536,40 @@ def response_row_weights(params: SmbmmParams, alpha):
 
 
 def eval_noise_poly(cr: CommonRandomness, params: SmbmmParams, alpha) -> BlockMatrix:
-    """Noise polynomial evaluation: same pole structure as the responses."""
-    q = params.field.q
+    """Noise polynomial evaluation: same pole structure as the responses.
+
+    One (1 x K) @ (K x block size) product of the response weights with
+    the stacked masks.
+    """
     first = cr.masks[0]
-    acc = [0] * (first.rows * first.cols)
     weights = response_row_weights(params, alpha)
-    for w, mask in zip(weights, cr.masks):
-        if w:
-            _kernels.axpy_mod(acc, mask.data, w, q)
-    return BlockMatrix(first.rows, first.cols, acc, params.field)
+    data = _kernels.matmul_mod(
+        weights, cr.stacked, 1, len(weights), first.rows * first.cols, params.field.q
+    )
+    return BlockMatrix(first.rows, first.cols, data, params.field)
 
 
 def server_compute_smbmm(share: SmbmmShare, cr: CommonRandomness,
                          params: SmbmmParams) -> SmbmmResponse:
-    """Y_i = sum_h A~^h(alpha_i) B~^h(alpha_i) + S(alpha_i)."""
-    alpha = params.alphas[share.server_index]
-    y = eval_noise_poly(cr, params, alpha)
-    acc = list(y.data)
-    q = params.field.q
-    for a_part, b_part in zip(share.a_parts, share.b_parts):
-        prod = a_part.matmul(b_part)
-        for i, v in enumerate(prod.data):
-            acc[i] = (acc[i] + v) % q
-    return SmbmmResponse(share.server_index, BlockMatrix(y.rows, y.cols, acc, params.field))
+    """Y_i = sum_h A~^h(alpha_i) B~^h(alpha_i) + S(alpha_i).
+
+    The group sum is one product [A~^1 | ... | A~^G] @ [B~^1; ...; B~^G].
+    """
+    y = eval_noise_poly(cr, params, params.alphas[share.server_index])
+    rows, inner = share.a_parts[0].rows, share.a_parts[0].cols
+    a_cat = [
+        v
+        for r in range(rows)
+        for a in share.a_parts
+        for v in a.data[r * inner : (r + 1) * inner]
+    ]
+    b_cat = [v for b in share.b_parts for v in b.data]
+    prod = _kernels.matmul_mod(
+        a_cat, b_cat, rows, len(share.a_parts) * inner, y.cols, params.field.q
+    )
+    # BlockMatrix reduces the sums mod q
+    data = [u + v for u, v in zip(prod, y.data)]
+    return SmbmmResponse(share.server_index, BlockMatrix(y.rows, y.cols, data, params.field))
 
 
 # ---------------------------------------------------------------------------

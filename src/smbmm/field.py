@@ -188,7 +188,7 @@ def poly_interpolate(field: FieldConfig, points) -> Poly:
     """
     pts = list(points)
     if not pts:
-        raise ValueError("need at least one point")
+        raise ParamError("need at least one point")
     xs = [x % field.q for x, _ in pts]
     ys = [y % field.q for _, y in pts]
     if len(set(xs)) != len(xs):
@@ -289,7 +289,7 @@ def build_cauchy_vandermonde(field: FieldConfig, alphas, poles, vander_width: in
 def build_toeplitz_lower(c):
     """n x n lower-triangular Toeplitz matrix with first column c."""
     if not c:
-        raise ValueError("need at least one coefficient")
+        raise ParamError("need at least one coefficient")
     n = len(c)
     return [[c[i - j] if i >= j else 0 for j in range(n)] for i in range(n)]
 

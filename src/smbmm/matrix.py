@@ -6,6 +6,7 @@ shape checks, no implicit padding anywhere.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import _kernels
 from .errors import ParamError, ShapeError
@@ -143,23 +144,23 @@ class BlockMatrix:
 
 
 def matmul_oracle(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
-    """Textbook triple loop, deliberately independent of the kernels.
+    """Row-by-column dot products, deliberately independent of the kernels.
 
     This is the ground truth the protocol outputs are compared against,
-    so it never dispatches to the compiled backend.
+    so it never dispatches to the compiled backend. Each entry is one
+    exact integer dot product reduced once.
     """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.field.q != b.field.q:
         raise ShapeError("operands live in different fields")
     q = a.field.q
-    out = [0] * (a.rows * b.cols)
+    k, m = a.cols, b.cols
+    cols = [b.data[j::m] for j in range(m)]
+    out = []
     for i in range(a.rows):
-        for j in range(b.cols):
-            s = 0
-            for t in range(a.cols):
-                s += a.data[i * a.cols + t] * b.data[t * b.cols + j]
-            out[i * b.cols + j] = s % q
+        row = a.data[i * k : (i + 1) * k]
+        out.extend(sum(map(mul, row, col)) % q for col in cols)
     return BlockMatrix(a.rows, b.cols, out, a.field)
 
 

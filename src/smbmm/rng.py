@@ -14,6 +14,8 @@ on every platform.
 
 import hashlib
 
+from .errors import ParamError
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -51,7 +53,7 @@ class Stream:
     def next_below(self, bound: int) -> int:
         """Uniform draw from [0, bound) via rejection sampling (no modulo bias)."""
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise ParamError("bound must be positive")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()

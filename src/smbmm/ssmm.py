@@ -11,6 +11,9 @@ A's row blocks by (np + X_B) and reaches threshold
 (m+1)(np+X_B)+X_A-X_B-1; the "B-major" layout strides B's column blocks
 by (mp + X_A) and reaches (n+1)(mp+X_A)+X_B-X_A-1. Either can be
 forced; "auto" picks the smaller threshold.
+
+Encoding is one weight-matrix product per source: the N x T matrix of
+alpha_i**exp times the T stacked coefficient blocks (``eval_at``).
 """
 
 from dataclasses import dataclass
@@ -131,12 +134,33 @@ def encoder_terms(plan, grid_a, grid_b, noise_a=(), noise_b=()):
     return a_terms, b_terms
 
 
+def eval_stack(weights, blocks, rows, cols, field):
+    """One block sum_t w[t] * blocks[t] per weight row w.
+
+    The weight rows times the stacked block data is a single
+    (rows of weights x T) @ (T x rows*cols) kernel product.
+    """
+    size = rows * cols
+    flat = _kernels.matmul_mod(
+        [w for row in weights for w in row],
+        [v for blk in blocks for v in blk.data],
+        len(weights), len(blocks), size, field.q,
+    )
+    return [BlockMatrix(rows, cols, flat[r * size : (r + 1) * size], field)
+            for r in range(len(weights))]
+
+
+def eval_at(terms, points, rows, cols, field):
+    """sum of block * x**exp at every point x, as one eval_stack with
+    the weight matrix x**exp (points x terms)."""
+    q = field.q
+    weights = [[pow(x, exp, q) for exp, _ in terms] for x in points]
+    return eval_stack(weights, [blk for _, blk in terms], rows, cols, field)
+
+
 def eval_terms(terms, t, q, rows, cols, field) -> BlockMatrix:
-    """Evaluate sum of block * t**exp."""
-    acc = [0] * (rows * cols)
-    for exp, mat in terms:
-        _kernels.axpy_mod(acc, mat.data, pow(t, exp, q), q)
-    return BlockMatrix(rows, cols, acc, field)
+    """Evaluate sum of block * t**exp over GF(q), where q is field.q."""
+    return eval_at(terms, [t], rows, cols, field)[0]
 
 
 @dataclass(frozen=True)
@@ -225,18 +249,9 @@ def encode_ssmm(a: BlockMatrix, b: BlockMatrix, params: SsmmParams, noise_seed: 
     noise_b = [random_matrix(br, bc, field, src2) for _ in range(params.x_b)]
 
     a_terms, b_terms = encoder_terms(plan, grid_a, grid_b, noise_a, noise_b)
-
-    q = field.q
-    shares = []
-    for i, alpha in enumerate(params.alphas):
-        shares.append(
-            SsmmShare(
-                i,
-                eval_terms(a_terms, alpha, q, ar, ac, field),
-                eval_terms(b_terms, alpha, q, br, bc, field),
-            )
-        )
-    return shares
+    a_shares = eval_at(a_terms, params.alphas, ar, ac, field)
+    b_shares = eval_at(b_terms, params.alphas, br, bc, field)
+    return [SsmmShare(i, sa, sb) for i, (sa, sb) in enumerate(zip(a_shares, b_shares))]
 
 
 def server_compute_ssmm(share: SsmmShare) -> SsmmResponse:

@@ -2,7 +2,8 @@
 
 Deliberately naive and separate from the package kernels: plain
 Gaussian elimination for rank, schoolbook polynomial arithmetic for
-degree bookkeeping. These stay simple enough to be obviously correct.
+degree bookkeeping, a triple loop for the matrix product. These stay
+simple enough to be obviously correct.
 """
 
 
@@ -83,3 +84,16 @@ def poly_eval_scalar(a, x, q):
     for c in reversed(a):
         acc = (acc * x + c) % q
     return acc
+
+
+def matmul_loops(a, b, n, k, m, q):
+    """(n x k) @ (k x m) over GF(q) on flat row-major lists, as the
+    textbook triple loop with a reduction after every step."""
+    out = [0] * (n * m)
+    for i in range(n):
+        for j in range(m):
+            s = 0
+            for t in range(k):
+                s = (s + a[i * k + t] * b[t * m + j]) % q
+            out[i * m + j] = s
+    return out

@@ -85,6 +85,11 @@ def test_poly_interpolate_worked_values():
         poly_interpolate(f, [(1, 2), (1, 3)])
 
 
+def test_poly_interpolate_without_points_is_a_param_error():
+    with pytest.raises(ParamError):
+        poly_interpolate(FieldConfig(7), [])
+
+
 def test_poly_interpolate_recovers_known_degree_6():
     f = FieldConfig(101)
     st = Stream(11)
@@ -216,6 +221,11 @@ def test_toeplitz_worked_values():
     assert build_toeplitz_lower([1]) == [[1]]
     assert build_toeplitz_lower([1, 2]) == [[1, 0], [2, 1]]
     assert build_toeplitz_lower([1, 2, 3]) == [[1, 0, 0], [2, 1, 0], [3, 2, 1]]
+
+
+def test_toeplitz_without_coefficients_is_a_param_error():
+    with pytest.raises(ParamError):
+        build_toeplitz_lower([])
 
 
 def test_toeplitz_nonsingular_iff_leading_nonzero():

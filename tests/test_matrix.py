@@ -16,6 +16,8 @@ from smbmm.matrix import (
 )
 from smbmm.rng import Stream
 
+from oracles import matmul_loops
+
 
 def f(q=7):
     return FieldConfig(q)
@@ -64,6 +66,16 @@ def test_matmul_oracle_worked_values():
     assert matmul_oracle(row, col).data == [6]
     with pytest.raises(ShapeError):
         matmul_oracle(row, row)
+
+
+@pytest.mark.parametrize("q", [5, 1009, 2**64 - 59])
+def test_matmul_oracle_matches_triple_loop(q):
+    fld = f(q)
+    st = Stream(q)
+    for n, k, m in [(1, 1, 1), (1, 7, 1), (3, 5, 2), (2, 1, 6), (5, 4, 3)]:
+        a = random_matrix(n, k, fld, st)
+        b = random_matrix(k, m, fld, st)
+        assert matmul_oracle(a, b).data == matmul_loops(a.data, b.data, n, k, m, q)
 
 
 def test_matmul_kernel_matches_oracle():
@@ -171,6 +183,11 @@ def test_stream_rejection_bound():
     s = Stream(1)
     for _ in range(1000):
         assert 0 <= s.next_below(7) < 7
+
+
+def test_stream_rejects_nonpositive_bound():
+    with pytest.raises(ParamError):
+        Stream(1).next_below(0)
 
 
 def test_partition_spec_rejects_nonpositive_counts():
