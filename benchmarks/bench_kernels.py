@@ -1,7 +1,9 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the three hot paths (GF(q) matmul, cached-LU solve, encoder axpy)
-and one full batch-protocol run per backend.
+and one full batch-protocol run per backend, and the pure-Python
+product oracle (``matrix.matmul_oracle``) at the same matmul size, so
+the cost of checking a product shows next to the cost of computing it.
 
     python benchmarks/bench_kernels.py [--q 1009] [--repeat 3]
 """
@@ -48,7 +50,16 @@ def bench_kernels(q, repeat):
             lambda: [mod.axpy_mod(dst, vec, 17, q) for _ in range(200)], repeat
         )
         rows.append((name, t_mm, t_lu, t_solve, t_axpy))
-    return n, rows
+    return n, rows, bench_oracle(a, b, n, q, repeat)
+
+
+def bench_oracle(a, b, n, q, repeat):
+    from smbmm.field import FieldConfig
+    from smbmm.matrix import BlockMatrix, matmul_oracle
+
+    field = FieldConfig(q)
+    ma, mb = BlockMatrix(n, n, a, field), BlockMatrix(n, n, b, field)
+    return _time(lambda: matmul_oracle(ma, mb), repeat)
 
 
 def bench_protocol(repeat):
@@ -79,7 +90,7 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    n, rows = bench_kernels(args.q, args.repeat)
+    n, rows, t_oracle = bench_kernels(args.q, args.repeat)
     print(f"kernel benchmarks, q={args.q}, {n}x{n} systems (best of {args.repeat}):")
     print(f"{'backend':<10} {'matmul':>10} {'lu_factor':>10} {'64 solves':>10} {'200 axpy':>10}")
     for name, t_mm, t_lu, t_solve, t_axpy in rows:
@@ -90,6 +101,7 @@ def main():
         print("speedup    " + " ".join(f"{s:>9.1f}x" for s in speedups))
     else:
         print("(compiled backend not built; showing pure only)")
+    print(f"{'oracle':<10} {t_oracle*1e3:>9.2f}ms  (matmul_oracle, pure Python, any backend)")
 
     t = bench_protocol(args.repeat)
     from smbmm import kernel_backend

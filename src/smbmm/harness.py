@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import batch, ssmm
 from .costs import CostReport
-from .errors import ConfigError, TooManyStragglers
+from .errors import ConfigError, SmbmmError, TooManyStragglers
 from .matrix import BlockMatrix, load_matrix, matmul_oracle, random_matrix
 from .rng import Stream
 
@@ -319,7 +319,9 @@ def _csv_row(cell, cfg, record, error, timing):
 def sweep(configs, master_seed: int, timing: bool = False):
     """Run every cell, deriving its seed from the master seed and index.
 
-    Per-cell failures are recorded in the CSV and the sweep continues.
+    A cell that raises an ``SmbmmError`` (a bad parameter set, too
+    many stragglers) is recorded in the CSV and the sweep continues;
+    any other exception is a program fault and propagates.
     Returns (records, csv_text); with timing disabled (the default) the
     CSV is byte-identical across reruns with the same master seed.
     """
@@ -338,7 +340,7 @@ def sweep(configs, master_seed: int, timing: bool = False):
                 record = run_smbmm(cfg)
             else:
                 record = run_ssmm(cfg)
-        except Exception as exc:  # recorded, sweep continues
+        except SmbmmError as exc:  # recorded, sweep continues
             error = f"{type(exc).__name__}: {exc}"
         records.append(record)
         out.write(",".join(_csv_row(cell, cfg, record, error, timing)) + "\n")

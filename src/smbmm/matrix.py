@@ -1,8 +1,16 @@
-"""Dense matrices over GF(q), block partitioning and the plain product
+"""Dense matrices over GF(q), block partitioning and the exact product
 oracle that every protocol result is checked against.
 
-Matrices are immutable after construction: row-major flat data, strict
-shape checks, no implicit padding anywhere.
+Matrices are immutable after construction: row-major flat data of
+canonical residues in [0, q), strict shape checks, no implicit padding
+anywhere. The public constructor reduces its input once; code in this
+package that has just built a list of canonical residues (kernel
+output, slices of other matrices, fresh draws) wraps it with the
+private ``BlockMatrix._canonical`` and skips that pass.
+
+The oracle is pure Python: it packs each row of B into one int, so a
+row of the product is one sum of scalar-times-packed-row products
+(see ``matmul_oracle``).
 """
 
 from dataclasses import dataclass
@@ -31,13 +39,24 @@ class BlockMatrix:
     __slots__ = ("rows", "cols", "data", "field")
 
     def __init__(self, rows: int, cols: int, data, field: FieldConfig):
+        self._init(rows, cols, [v % field.q for v in data], field)
+
+    @classmethod
+    def _canonical(cls, rows, cols, data, field):
+        """Wrap ``data`` as is: a list just built by the caller, not
+        shared with anything else, whose entries are all in [0, q)."""
+        mat = object.__new__(cls)
+        mat._init(rows, cols, data, field)
+        return mat
+
+    def _init(self, rows, cols, data, field):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
         if len(data) != rows * cols:
             raise ShapeError(f"data length {len(data)} != {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", [v % field.q for v in data])
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
@@ -131,7 +150,7 @@ class BlockMatrix:
         data = _kernels.matmul_mod(
             self.data, other.data, self.rows, self.cols, other.cols, self.field.q
         )
-        return BlockMatrix(self.rows, other.cols, data, self.field)
+        return BlockMatrix._canonical(self.rows, other.cols, data, self.field)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -144,11 +163,15 @@ class BlockMatrix:
 
 
 def matmul_oracle(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
-    """Row-by-column dot products, deliberately independent of the kernels.
+    """Exact product on packed rows, deliberately independent of the kernels.
 
     This is the ground truth the protocol outputs are compared against,
-    so it never dispatches to the compiled backend. Each entry is one
-    exact integer dot product reduced once.
+    so it is pure Python and never dispatches to ``_kernels``. Each row
+    of B is packed into one int of ``wb``-byte slots, where ``8 * wb``
+    bits hold k * (q - 1)**2, the largest exact dot product. Row i of
+    C is then sum_t a[i, t] * packed[t]: no slot can carry into the
+    next, so each slot of the sum is one exact integer dot product,
+    reduced once mod q.
     """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -156,18 +179,24 @@ def matmul_oracle(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
         raise ShapeError("operands live in different fields")
     q = a.field.q
     k, m = a.cols, b.cols
-    cols = [b.data[j::m] for j in range(m)]
+    wb = max(1, ((k * (q - 1) ** 2).bit_length() + 7) // 8)
+    width = m * wb
+    from_bytes = int.from_bytes
+    packed = [
+        from_bytes(b"".join([v.to_bytes(wb, "little") for v in b.row(t)]), "little")
+        for t in range(k)
+    ]
     out = []
     for i in range(a.rows):
-        row = a.data[i * k : (i + 1) * k]
-        out.extend(sum(map(mul, row, col)) % q for col in cols)
-    return BlockMatrix(a.rows, b.cols, out, a.field)
+        sums = sum(map(mul, a.row(i), packed)).to_bytes(width, "little")
+        out.extend([from_bytes(sums[s : s + wb], "little") % q for s in range(0, width, wb)])
+    return BlockMatrix._canonical(a.rows, m, out, a.field)
 
 
 def random_matrix(rows: int, cols: int, field: FieldConfig, stream: Stream) -> BlockMatrix:
     """Uniform entries drawn in row-major order from the stream."""
     data = [stream.next_below(field.q) for _ in range(rows * cols)]
-    return BlockMatrix(rows, cols, data, field)
+    return BlockMatrix._canonical(rows, cols, data, field)
 
 
 def partition(mat: BlockMatrix, row_blocks: int, col_blocks: int):
@@ -188,7 +217,7 @@ def partition(mat: BlockMatrix, row_blocks: int, col_blocks: int):
             for r in range(br):
                 start = (bi * br + r) * mat.cols + bj * bc
                 data.extend(mat.data[start : start + bc])
-            row.append(BlockMatrix(br, bc, data, mat.field))
+            row.append(BlockMatrix._canonical(br, bc, data, mat.field))
         grid.append(row)
     return grid
 
@@ -206,12 +235,14 @@ def assemble(grid) -> BlockMatrix:
         for blk in row:
             if blk.rows != br or blk.cols != bc:
                 raise ShapeError("blocks are not uniformly sized")
+            if blk.field.q != fieldcfg.q:
+                raise ShapeError("blocks live in different fields")
     data = []
     for blockrow in grid:
         for r in range(br):
             for blk in blockrow:
                 data.extend(blk.data[r * bc : (r + 1) * bc])
-    return BlockMatrix(len(grid) * br, ncols_blocks * bc, data, fieldcfg)
+    return BlockMatrix._canonical(len(grid) * br, ncols_blocks * bc, data, fieldcfg)
 
 
 # ---------------------------------------------------------------------------

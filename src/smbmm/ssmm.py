@@ -146,7 +146,7 @@ def eval_stack(weights, blocks, rows, cols, field):
         [v for blk in blocks for v in blk.data],
         len(weights), len(blocks), size, field.q,
     )
-    return [BlockMatrix(rows, cols, flat[r * size : (r + 1) * size], field)
+    return [BlockMatrix._canonical(rows, cols, flat[r * size : (r + 1) * size], field)
             for r in range(len(weights))]
 
 
@@ -291,7 +291,7 @@ def solve_stack(system, used, positions):
         solved = system.solve([r.y.data[e] for r in used])
         for data, pos in zip(out, positions):
             data[e] = solved[pos]
-    return [BlockMatrix(br, bc, data, system.field) for data in out]
+    return [BlockMatrix._canonical(br, bc, data, system.field) for data in out]
 
 
 def decode_ssmm(responses, params: SsmmParams) -> BlockMatrix:

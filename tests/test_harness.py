@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from smbmm import harness
 from smbmm.errors import TooManyStragglers
 from smbmm.harness import (
     DataSource,
@@ -107,6 +108,15 @@ def test_sweep_grid_rows_and_error_recording():
     assert records[1] is None
     assert "TooManyStragglers" in lines[2]
     assert records[0].passed and records[2].passed
+
+
+def test_sweep_propagates_program_faults(monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("program fault")
+
+    monkeypatch.setattr(harness, "run_ssmm", broken)
+    with pytest.raises(RuntimeError, match="program fault"):
+        sweep([_ssmm_cfg()], master_seed=3)
 
 
 def test_sweep_replay_byte_identical():

@@ -24,9 +24,18 @@ from smbmm.batch import (
     gen_common_randomness,
     server_compute_smbmm,
 )
-from smbmm.matrix import matmul_oracle, random_matrix
+from smbmm.field import FieldConfig, SquareSystem
+from smbmm.matrix import BlockMatrix, assemble, matmul_oracle, partition, random_matrix
 from smbmm.rng import Stream
-from smbmm.ssmm import SsmmParams, decode_ssmm, encode_ssmm, server_compute_ssmm
+from smbmm.ssmm import (
+    SsmmParams,
+    SsmmResponse,
+    decode_ssmm,
+    encode_ssmm,
+    eval_stack,
+    server_compute_ssmm,
+    solve_stack,
+)
 
 from oracles import matmul_loops
 
@@ -73,6 +82,14 @@ def compiled_kernels(fast, monkeypatch):
     """Route every protocol kernel call through the compiled functions."""
     for name in KERNELS:
         monkeypatch.setattr(_kernels, name, getattr(fast, name))
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def either_kernels(request, monkeypatch):
+    """Route every kernel call through one backend, then the other."""
+    impl = pure if request.param == "pure" else request.getfixturevalue("fast")
+    for name in KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(impl, name))
 
 
 def test_backend_selected():
@@ -169,3 +186,28 @@ def test_worked_smbmm_run_on_compiled_kernels(compiled_kernels):
     assert decode_smbmm(responses, params) == [
         matmul_oracle(a, b) for a, b in zip(batch_a, batch_b)
     ]
+
+
+@pytest.mark.parametrize("q", [5, 1009, Q64])
+def test_unreduced_construction_sites_return_residues(either_kernels, q):
+    # every site that wraps its list without the constructor's v % q
+    # pass must still hand out entries in [0, q); all-(q - 1) operands
+    # give the largest sums
+    fld = FieldConfig(q)
+    top = BlockMatrix(4, 6, [q - 1] * 24, fld)
+    rnd = random_matrix(6, 4, fld, Stream(q))
+    xs = [1, 2, q - 1]
+    system = SquareSystem(fld, [[pow(x, c, q) for c in range(3)] for x in xs])
+    used = [SsmmResponse(i, BlockMatrix(2, 2, [q - 1, 0, i, q - 1], fld)) for i in range(3)]
+    sites = {
+        "random_matrix": [rnd],
+        "matmul": [top.matmul(rnd), top.matmul(BlockMatrix(6, 2, [q - 1] * 12, fld))],
+        "matmul_oracle": [matmul_oracle(top, rnd)],
+        "partition": [blk for row in partition(top, 2, 3) for blk in row],
+        "assemble": [assemble(partition(rnd, 3, 2))],
+        "eval_stack": eval_stack([[q - 1] * 2, [1, q - 1]], [top, top], 4, 6, fld),
+        "solve_stack": solve_stack(system, used, [0, 2]),
+    }
+    for site, mats in sites.items():
+        for mat in mats:
+            assert all(type(v) is int and 0 <= v < q for v in mat.data), site

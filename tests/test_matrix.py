@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from smbmm import _kernels
 from smbmm.errors import ParamError, ShapeError
 from smbmm.field import FieldConfig
 from smbmm.matrix import (
@@ -68,14 +69,58 @@ def test_matmul_oracle_worked_values():
         matmul_oracle(row, row)
 
 
-@pytest.mark.parametrize("q", [5, 1009, 2**64 - 59])
+EDGE_MODULI = [5, 1009, 2**31 - 1, 2**64 - 59]
+
+
+@pytest.mark.parametrize("q", EDGE_MODULI)
 def test_matmul_oracle_matches_triple_loop(q):
     fld = f(q)
     st = Stream(q)
-    for n, k, m in [(1, 1, 1), (1, 7, 1), (3, 5, 2), (2, 1, 6), (5, 4, 3)]:
+    shapes = [(1, 1, 1), (1, 7, 1), (3, 5, 2), (2, 1, 6), (5, 4, 3),
+              (6, 1, 6), (2, 192, 3), (3, 0, 4), (0, 3, 2), (2, 3, 0)]
+    for n, k, m in shapes:
         a = random_matrix(n, k, fld, st)
         b = random_matrix(k, m, fld, st)
         assert matmul_oracle(a, b).data == matmul_loops(a.data, b.data, n, k, m, q)
+
+
+@pytest.mark.parametrize("q", EDGE_MODULI)
+@pytest.mark.parametrize("k", [1, 2, 192])
+def test_matmul_oracle_slot_width_edges(q, k):
+    # all entries q - 1 make every dot product k * (q - 1)**2, the
+    # largest value one packed slot has to hold without a carry
+    fld = f(q)
+    for n, inner, m in [(1, k, 1), (k, 1, k), (3, k, 2)]:
+        a = BlockMatrix(n, inner, [q - 1] * (n * inner), fld)
+        b = BlockMatrix(inner, m, [q - 1] * (inner * m), fld)
+        assert matmul_oracle(a, b).data == matmul_loops(a.data, b.data, n, inner, m, q)
+
+
+def test_matmul_oracle_never_calls_kernels(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the oracle must not use the kernels")
+
+    monkeypatch.setattr(_kernels, "matmul_mod", boom)
+    fld = f(2**64 - 59)
+    st = Stream(4)
+    a = random_matrix(4, 5, fld, st)
+    b = random_matrix(5, 3, fld, st)
+    assert matmul_oracle(a, b).data == matmul_loops(a.data, b.data, 4, 5, 3, fld.q)
+    with pytest.raises(AssertionError):
+        a.matmul(b)
+
+
+def test_public_constructor_reduces_every_entry():
+    fld = f(7)
+    assert BlockMatrix(2, 3, [-1, 7, 8, -15, 13, 0], fld).data == [6, 0, 1, 6, 6, 0]
+    assert BlockMatrix.from_rows([[-8, 2**70]], fld).data == [6, 2**70 % 7]
+
+
+def test_assemble_rejects_mixed_fields():
+    a = BlockMatrix.from_rows([[1]], f(7))
+    b = BlockMatrix.from_rows([[1]], f(11))
+    with pytest.raises(ShapeError):
+        assemble([[a, b]])
 
 
 def test_matmul_kernel_matches_oracle():
