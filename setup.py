@@ -1,9 +1,9 @@
 """Build script for the optional compiled kernel core.
 
 The package is pure Python; the C extension ``smbmm._kernels._fastcore``
-only accelerates the GF(q) inner loops. It is built from the shipped
-``src/smbmm/_kernels/_fastcore.c`` (generated once from ``_fastcore.pyx``),
-so building needs a C compiler but not Cython. The extension is
+only accelerates the GF(q) inner loops. It is built from the
+hand-written C source ``src/smbmm/_kernels/_fastcore.c`` against the
+Python C API, so building needs only a C compiler. The extension is
 optional: if it fails to compile, the build goes on without it and the
 package falls back to the pure-Python kernels at import time. Set
 SMBMM_SKIP_EXT=1 to skip the extension altogether.

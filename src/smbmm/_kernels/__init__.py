@@ -1,14 +1,14 @@
 """Kernel backend selection.
 
 The compiled extension ``_fastcore`` is built by setup.py from the
-shipped ``_fastcore.c`` with a plain C compiler (no Cython). It is
-preferred when it imported cleanly; the pure-Python module is the
-fallback. SMBMM_KERNELS=pure|compiled forces a backend (forcing
-"compiled" raises if the extension is not built).
+hand-written C source ``_fastcore.c``. It is preferred when it
+imported cleanly; the pure-Python module is the fallback.
+SMBMM_KERNELS=pure|compiled forces a backend (forcing "compiled"
+raises if the extension is not built).
 
 Every protocol phase runs on ``matmul_mod`` (encode, server compute)
-or the LU pair (decode). ``axpy_mod`` has no protocol caller; it stays
-part of the kernel surface because the generated C module exports it.
+or the LU pair (decode). ``axpy_mod`` has no protocol caller; both
+modules keep it because the protocol benchmark traces it by name.
 """
 
 import os

@@ -1,12 +1,19 @@
 """Pure-Python GF(q) kernels.
 
 Reference implementations of the hot inner loops. The compiled module
-``_fastcore`` exports the same four functions with identical semantics;
-``smbmm._kernels`` picks one at import time. Everything works on flat
-row-major lists of canonical residues and arbitrary 64-bit prime q.
+``_fastcore``, built from the hand-written ``_fastcore.c``, exports the
+same four functions with identical semantics; ``smbmm._kernels`` picks
+one at import time. Everything works on flat row-major lists of
+canonical residues and arbitrary 64-bit prime q. An operand whose
+length does not match its shape raises ValueError in both modules.
 """
 
 from operator import mul
+
+
+def _check_length(name, seq, size):
+    if len(seq) != size:
+        raise ValueError(f"{name} has length {len(seq)}, its shape needs {size}")
 
 
 def matmul_mod(a, b, n, k, m, q):
@@ -15,6 +22,8 @@ def matmul_mod(a, b, n, k, m, q):
     Each entry is one exact dot product of a row with a pre-sliced
     column, reduced once.
     """
+    _check_length("a", a, n * k)
+    _check_length("b", b, k * m)
     cols = [b[j::m] for j in range(m)]
     out = []
     for i in range(n):
@@ -25,6 +34,7 @@ def matmul_mod(a, b, n, k, m, q):
 
 def axpy_mod(dst, src, c, q):
     """dst += c * src (elementwise, in place)."""
+    _check_length("src", src, len(dst))
     if c:
         for i in range(len(dst)):
             dst[i] = (dst[i] + c * src[i]) % q
@@ -37,6 +47,7 @@ def lu_factor_mod(a, n, q):
     the row permutation, and the inverses of U's diagonal. Raises
     ZeroDivisionError when the matrix is singular.
     """
+    _check_length("a", a, n * n)
     lu = [v % q for v in a]
     perm = list(range(n))
     dinv = [0] * n
@@ -69,6 +80,9 @@ def lu_factor_mod(a, n, q):
 
 def lu_solve_mod(lu, perm, dinv, n, rhs, q):
     """Solve L U x = P rhs for one column."""
+    _check_length("lu", lu, n * n)
+    for name, seq in (("perm", perm), ("dinv", dinv), ("rhs", rhs)):
+        _check_length(name, seq, n)
     x = [rhs[perm[i]] for i in range(n)]
     for i in range(1, n):
         s = x[i]

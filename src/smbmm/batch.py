@@ -546,7 +546,7 @@ def eval_noise_poly(cr: CommonRandomness, params: SmbmmParams, alpha) -> BlockMa
     data = _kernels.matmul_mod(
         weights, cr.stacked, 1, len(weights), first.rows * first.cols, params.field.q
     )
-    return BlockMatrix(first.rows, first.cols, data, params.field)
+    return BlockMatrix._canonical(first.rows, first.cols, data, params.field)
 
 
 def server_compute_smbmm(share: SmbmmShare, cr: CommonRandomness,
@@ -554,9 +554,20 @@ def server_compute_smbmm(share: SmbmmShare, cr: CommonRandomness,
     """Y_i = sum_h A~^h(alpha_i) B~^h(alpha_i) + S(alpha_i).
 
     The group sum is one product [A~^1 | ... | A~^G] @ [B~^1; ...; B~^G].
+    Raises ShapeError when ``cr`` was drawn for other parameters or
+    another block shape.
     """
-    y = eval_noise_poly(cr, params, params.alphas[share.server_index])
     rows, inner = share.a_parts[0].rows, share.a_parts[0].cols
+    cols = share.b_parts[0].cols
+    if len(cr.masks) != params.threshold:
+        raise ShapeError(
+            f"common randomness has {len(cr.masks)} masks, "
+            f"the recovery threshold is {params.threshold}"
+        )
+    mask = cr.masks[0]
+    if (mask.rows, mask.cols) != (rows, cols):
+        raise ShapeError(f"mask blocks are {mask.rows}x{mask.cols}, the response is {rows}x{cols}")
+    y = eval_noise_poly(cr, params, params.alphas[share.server_index])
     a_cat = [
         v
         for r in range(rows)
@@ -565,11 +576,11 @@ def server_compute_smbmm(share: SmbmmShare, cr: CommonRandomness,
     ]
     b_cat = [v for b in share.b_parts for v in b.data]
     prod = _kernels.matmul_mod(
-        a_cat, b_cat, rows, len(share.a_parts) * inner, y.cols, params.field.q
+        a_cat, b_cat, rows, len(share.a_parts) * inner, cols, params.field.q
     )
     # BlockMatrix reduces the sums mod q
     data = [u + v for u, v in zip(prod, y.data)]
-    return SmbmmResponse(share.server_index, BlockMatrix(y.rows, y.cols, data, params.field))
+    return SmbmmResponse(share.server_index, BlockMatrix(rows, cols, data, params.field))
 
 
 # ---------------------------------------------------------------------------

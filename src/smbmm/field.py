@@ -62,17 +62,11 @@ class FieldConfig:
         if not is_prime(self.q):
             raise ParamError(f"modulus {self.q} is not prime")
 
-    def element(self, v: int) -> int:
-        return v % self.q
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.q
